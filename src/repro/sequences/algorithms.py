@@ -17,10 +17,48 @@ Dispatch for ``advance``/``distance``/``sort`` runs through the
 registry generation and the steady-state cost of picking an overload is a
 single dict hit (see ``benchmarks/bench_dispatch_cache.py`` for the
 numbers, and ``REPRO_DISPATCH_STATS=1`` for per-overload call counts).
+
+Bulk paths.  ``find``, ``count``, ``accumulate``, ``lower_bound``/
+``upper_bound`` and ``sort`` take a bulk path when the representation
+allows it, keyed on the storage capability record the way Section 2.1
+keys ``sort`` on the iterator concept.  A range qualifies when both ends
+are valid index iterators of one container, ``first`` is not past
+``last``, and the container's store is RAM-resident (``io_cost_per_op ==
+0`` and not ``persistent``): ``Vector``, ``ContiguousVector`` and
+``Deque``.  ``sort`` under the default ``less`` also qualifies on
+``DList``.  Each bulk path keeps the generic semantics exactly:
+
+- ``find``/``count`` read the range with one ``Storage.slice`` and apply
+  ``==`` to every element in order, stopping where the generic loop
+  stops.  They never use ``list.index``/``list.count``, whose identity
+  shortcut finds a NaN that ``==`` does not.
+- ``accumulate`` is ``functools.reduce``, the same left fold; never
+  ``sum``, which compensates float rounding on Python >= 3.12.
+- ``lower_bound``/``upper_bound`` search indices through ``Storage.get``
+  with the caller's ``less`` and the generic loop's midpoints, so they
+  agree even on unsorted input.
+- ``sort`` with the default ``less`` runs the store's stable bulk
+  ``Storage.sort`` and commits one ``write``: the facts afterwards are the
+  ones element-by-element writes leave, and no iterator is invalidated.
+  Under a strict weak order ``DList``'s stable merge sort and the bulk
+  sort give identical output; quicksort is not stable, so on
+  ``Vector``/``Deque`` equivalent but distinguishable elements (``1`` and
+  ``1.0``) may come out in another order than quicksort's.
+
+Everything else — a custom comparator for ``sort``, singular, foreign or
+reversed iterators, non-index iterators, persistent stores — runs the
+generic iterator code below, which is the paper's point and the fallback.
+Persistent stores are excluded on purpose: a slice would pull the whole
+range into memory, which a store on disk need not fit, and the io-aware
+overloads (``find_in``, ``backend_sort``) are how per-element round trips
+are routed around there.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+from itertools import compress, repeat
 from typing import Any, Callable, Optional
 
 from ..concepts import GenericFunction
@@ -38,9 +76,62 @@ from ..concepts.builtins import (
 )
 from .errors import EmptyRangeError, IteratorRangeError
 from .function_objects import Less
-from .iterators import IteratorBase, require_same_container
+from .iterators import IndexIterator, IteratorBase, require_same_container
+from .storage import SequenceFacade, Storage
 
 _default_less = Less()
+
+
+# ---------------------------------------------------------------------------
+# Bulk-path eligibility (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _ram_resident(container: Any) -> bool:
+    """Is ``container`` a façade over a store with no io cost per
+    element operation and no persistence?"""
+    if not isinstance(container, SequenceFacade):
+        return False
+    caps = container.backend_capabilities
+    return caps.io_cost_per_op == 0 and not caps.persistent
+
+
+def _bulk_range(first: Any, last: Any) -> Optional[tuple[Storage, int, int]]:
+    """``(store, lo, hi)`` when ``[first, last)`` may take a bulk path;
+    ``None`` sends the call down the generic iterator code, which raises
+    whatever a malformed range raises."""
+    if not (isinstance(first, IndexIterator)
+            and isinstance(last, IndexIterator)):
+        return None
+    container = first.container
+    if (last.container is not container or not first.is_valid()
+            or not last.is_valid() or not _ram_resident(container)):
+        return None
+    store = container.storage()
+    lo, hi = first.index, last.index
+    if not 0 <= lo <= hi <= store.length():
+        return None
+    return store, lo, hi
+
+
+def _matches(store: Storage, lo: int, hi: int, value: Any) -> Any:
+    """Lazy ``element == value`` over ``[lo, hi)``, in order."""
+    return map(operator.eq, store.slice(lo, hi), repeat(value))
+
+
+def _partition_point(get: Callable[[int], Any], lo: int, hi: int,
+                     pred: Callable[[Any], bool]) -> int:
+    """Index form of the generic binary-search loop: the same midpoints,
+    so the same answer even where ``pred`` does not partition the range."""
+    n = hi - lo
+    while n > 0:
+        step = n // 2
+        if pred(get(lo + step)):
+            lo += step + 1
+            n -= step + 1
+        else:
+            n = step
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +207,11 @@ def find(first: IteratorBase, last: IteratorBase, value: Any) -> IteratorBase:
     be sorted ("Consider replacing this algorithm with one specialized for
     sorted sequences (e.g., lower_bound)", Section 3.2).
     """
+    span = _bulk_range(first, last)
+    if span is not None:
+        store, lo, hi = span
+        hits = compress(range(lo, hi), _matches(store, lo, hi, value))
+        return type(first)(first.container, next(hits, hi))
     require_same_container(first, last)
     it = first.clone()
     while not it.equals(last):
@@ -140,6 +236,10 @@ def find_if(
 
 def count(first: IteratorBase, last: IteratorBase, value: Any) -> int:
     """Requires: Input Iterator."""
+    span = _bulk_range(first, last)
+    if span is not None:
+        # Adds one per match: an int tally, not a float sum.
+        return sum(compress(repeat(1), _matches(*span, value)))
     require_same_container(first, last)
     n = 0
     it = first.clone()
@@ -225,9 +325,13 @@ def accumulate(
     first: IteratorBase,
     last: IteratorBase,
     init: Any,
-    op: Callable[[Any, Any], Any] = lambda a, b: a + b,
+    op: Callable[[Any, Any], Any] = operator.add,
 ) -> Any:
     """Left fold.  Requires: Input Iterator."""
+    span = _bulk_range(first, last)
+    if span is not None:
+        store, lo, hi = span
+        return reduce(op, store.slice(lo, hi), init)
     require_same_container(first, last)
     acc = init
     it = first.clone()
@@ -276,6 +380,12 @@ def lower_bound(
     comparisons; O(log n) steps with Random Access Iterators, O(n) steps
     otherwise (comparisons stay logarithmic — the STL's actual guarantee).
     """
+    span = _bulk_range(first, last)
+    if span is not None:
+        store, lo, hi = span
+        index = _partition_point(store.get, lo, hi,
+                                 lambda x: less(x, value))
+        return type(first)(first.container, index)
     require_same_container(first, last)
     n = distance(first, last)
     it = first.clone()
@@ -300,6 +410,12 @@ def upper_bound(
 ) -> IteratorBase:
     """First position strictly after every element equivalent to ``value``.
     Same requirements/preconditions as :func:`lower_bound`."""
+    span = _bulk_range(first, last)
+    if span is not None:
+        store, lo, hi = span
+        index = _partition_point(store.get, lo, hi,
+                                 lambda x: not less(value, x))
+        return type(first)(first.container, index)
     require_same_container(first, last)
     n = distance(first, last)
     it = first.clone()
@@ -541,7 +657,14 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
     accessed linearly (as with a linked list) we might select a default
     algorithm"): bottom-up merge sort through the Sequence interface.
     O(n log n) comparisons, but every element move is a linked-list
-    operation."""
+    operation.  Under the default order a RAM-resident container sorts
+    through its store instead: both sorts are stable, so the output is
+    the same."""
+    if less is _default_less and _ram_resident(container):
+        if container.size() > 1:
+            container._sort_storage()
+            _note_sorted(container, less)
+        return container
     items = list(container)
     if len(items) <= 1:
         return container
@@ -579,8 +702,13 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
 )
 def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_less) -> Any:
     """"If they can be accessed efficiently via indexing (as with an array)
-    we can apply the more-efficient quicksort algorithm" (Section 2.1)."""
-    _quicksort_indices(container, 0, container.size(), less)
+    we can apply the more-efficient quicksort algorithm" (Section 2.1).
+    Under the default order a RAM-resident container sorts through its
+    store's bulk sort instead; a custom ``less`` runs the quicksort."""
+    if less is _default_less and _ram_resident(container):
+        container._sort_storage()
+    else:
+        _quicksort_indices(container, 0, container.size(), less)
     _note_sorted(container, less)
     return container
 

@@ -105,6 +105,9 @@ class ContiguousStorage(Storage):
     def clear(self) -> None:
         del self._block[:]
 
+    def sort(self) -> None:
+        self._block[:] = array(self._typecode, sorted(self._block))
+
     # -- lifecycle ----------------------------------------------------------------
 
     def flush(self) -> None:

@@ -9,9 +9,9 @@ cross-cuts various domains" (Section 3.1): one concept, per-model rules.
 
 The class is a façade over :class:`~repro.sequences.storage.LinkedStorage`;
 the node graph lives in the store, and every mutation — including the
-push/pop paths that (correctly) invalidate no iterators — goes through the
-shared choke point so runtime facts are invalidated and the mutation epoch
-bumps even when no iterator dies.
+push/pop paths that (correctly) invalidate no iterators, and element writes
+through an iterator — goes through the shared choke point so runtime facts
+are invalidated and the mutation epoch bumps even when no iterator dies.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ class DList(SequenceFacade):
 
     def _unlink(self, node: _Node) -> None:
         self._store.unlink(node)
+
+    def _set_node(self, node: _Node, value: Any) -> None:
+        """Element write through an iterator: a ``write`` mutation like
+        ``Vector``'s, so it drops ``sorted`` and bumps the epoch."""
+        node.value = value
+        self._commit_mutation("write")
 
     # -- Container interface ---------------------------------------------------------
 

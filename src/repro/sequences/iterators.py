@@ -192,7 +192,7 @@ class NodeIterator(IteratorBase):
         self._require_valid()
         if self._node is self._container._sentinel:
             raise PastTheEndError("attempt to write through a past-the-end iterator")
-        self._node.value = value
+        self._container._set_node(self._node, value)
 
     def increment(self) -> None:
         self._require_valid()

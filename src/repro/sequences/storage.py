@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
 
 from ..concepts.complexity import BigO, constant, linear
@@ -123,6 +124,15 @@ class Storage(ABC):
         for i in range(self.length() - 1, -1, -1):
             self.erase(i)
 
+    def sort(self) -> None:
+        """Reorder the elements into ascending ``<`` order, stably.  The
+        elements are sorted as a copy before anything is written back, so
+        a comparison that raises leaves the store unchanged."""
+        items = self.slice(0, self.length())
+        items.sort()
+        for i, value in enumerate(items):
+            self.set(i, value)
+
     def __iter__(self) -> Iterator[Any]:
         return iter(self.slice(0, self.length()))
 
@@ -182,6 +192,9 @@ class ListStorage(Storage):
     def clear(self) -> None:
         self._items.clear()
 
+    def sort(self) -> None:
+        self._items[:] = sorted(self._items)
+
 
 class DequeStorage(Storage):
     """RAM representation over :class:`collections.deque` — O(1) at both
@@ -225,10 +238,15 @@ class DequeStorage(Storage):
         self._items.append(value)
 
     def slice(self, start: int, stop: int) -> list[Any]:
-        return list(self._items)[start:stop]
+        return list(islice(self._items, start, stop))
 
     def clear(self) -> None:
         self._items.clear()
+
+    def sort(self) -> None:
+        items = sorted(self._items)
+        self._items.clear()
+        self._items.extend(items)
 
 
 class _LinkNode:
@@ -322,6 +340,15 @@ class LinkedStorage(Storage):
         self.sentinel.prev = self.sentinel
         self._size = 0
 
+    def sort(self) -> None:
+        """Rewrite the values in place: every node keeps its position,
+        so iterators stay valid and see the sorted values, as after the
+        generic merge sort's element writes."""
+        node = self.sentinel.next
+        for value in sorted(self.slice(0, self._size)):
+            node.value = value
+            node = node.next
+
 
 # ---------------------------------------------------------------------------
 # Runtime fact validators
@@ -391,6 +418,15 @@ class SequenceFacade:
             if survived != self._facts:
                 self._facts = survived
                 self._store.sync_facts(survived)
+
+    def _sort_storage(self) -> None:
+        """Sort through the store's bulk :meth:`Storage.sort`.  Two or
+        more elements commit one ``write``, which leaves the same facts as
+        an element-by-element sort's writes; no iterator is invalidated,
+        as none is by element writes."""
+        if self._store.length() > 1:
+            self._store.sort()
+            self._commit_mutation("write")
 
     # -- runtime facts -------------------------------------------------------------
 

@@ -10,7 +10,8 @@ here is parametrized over all three backends and written once.
 
 import pytest
 
-from repro.sequences import Vector
+from repro.sequences import DList, Vector
+from repro.sequences.algorithms import fill, reverse, sort
 from repro.sequences.backends import ContiguousVector, SqliteSequence
 
 #: (backend name, zero-arg-or-items factory) for every Vector-family
@@ -157,3 +158,38 @@ class TestFactsThroughStorageSeam:
         v = factory([3, 1, 2])
         with pytest.raises(ValueError):
             v.assert_fact("sorted")
+
+
+# ---------------------------------------------------------------------------
+# Writes through a DList iterator reach the same choke point
+# ---------------------------------------------------------------------------
+
+
+class TestDListIteratorWrites:
+    def test_write_through_iterator_destroys_sorted(self):
+        lst = DList([3, 1, 2])
+        sort(lst)
+        assert lst.has_fact("sorted")
+        before = lst.epoch
+        lst.begin().set(99)
+        assert lst.to_list() == [99, 2, 3]
+        assert not lst.has_fact("sorted")
+        assert lst.epoch == before + 1
+
+    def test_same_write_on_vector_agrees(self):
+        v = Vector([3, 1, 2])
+        sort(v)
+        before = v.epoch
+        v.begin().set(99)
+        assert not v.has_fact("sorted")
+        assert v.epoch == before + 1
+
+    def test_generic_writers_commit_on_dlist(self):
+        lst = DList([1, 2, 3])
+        lst.assert_fact("sorted")
+        before = lst.epoch
+        fill(lst.begin(), lst.end(), 0)
+        assert lst.epoch == before + 3
+        lst.assert_fact("sorted")
+        reverse(lst.begin(), lst.end())
+        assert not lst.has_fact("sorted")
