@@ -22,11 +22,9 @@ Scaling mode (CI bench-smoke job)::
 
     PYTHONPATH=src python benchmarks/bench_resilience.py --quick --scale
 
-runs the replicated log over a processes x loss x partition-count grid,
-re-asserts the acceptance scenario (commits preserved under a seeded
-partition->heal->churn plan at loss 0.3), and checks that a
-1000-process run under the sharded event loop is bit-identical to the
-serial loop on the same seed.  Writes
+runs the replicated log over a processes x loss x partition-count grid
+and re-asserts the acceptance scenario (commits preserved under a seeded
+partition->heal->churn plan at loss 0.3).  Writes
 ``benchmarks/out/resilience_scale.json``; exits nonzero on any
 violation.
 """
@@ -175,7 +173,7 @@ def _measure_acceptance() -> dict:
     }
 
 
-def _scale_row(n: int, loss: float, parts: int, shards: int) -> dict:
+def _scale_row(n: int, loss: float, parts: int) -> dict:
     """One curve point: an n-replica log at the given loss rate, split
     into ``parts`` groups (healing mid-run) when parts > 1."""
     from repro.distributed import FailurePlan, heal, partition
@@ -192,7 +190,6 @@ def _scale_row(n: int, loss: float, parts: int, shards: int) -> dict:
     t0 = time.perf_counter()
     m = run_replicated_log(
         n, {0: ["a", "b"], 1: ["z"]}, failures=plan, seed=3,
-        shards=shards if shards > 1 else None,
         max_time=5000, on_limit="truncate")
     wall = time.perf_counter() - t0
     expected = set(m.expected_commands)
@@ -205,7 +202,6 @@ def _scale_row(n: int, loss: float, parts: int, shards: int) -> dict:
         "processes": n,
         "loss": loss,
         "partitions": parts,
-        "shards": shards,
         "ok": ok,
         "messages": m.messages_sent,
         "elections_started": m.elections_started,
@@ -216,59 +212,21 @@ def _scale_row(n: int, loss: float, parts: int, shards: int) -> dict:
     }
 
 
-def _measure_scale(quick: bool, big_n: int = 1000,
-                   shards: int = 8) -> dict:
-    """The --scale payload: acceptance scenario, scaling curve, and the
-    big-run serial-vs-sharded bit-identity check."""
-    from repro.distributed import FailurePlan
-    from repro.distributed.algorithms.replog import run_replicated_log
-
+def _measure_scale(quick: bool) -> dict:
+    """The --scale payload: acceptance scenario and scaling curve."""
     acceptance = _measure_acceptance()
 
     n_grid = (16, 64) if quick else (16, 64, 256)
     rows = [
-        _scale_row(n, loss, parts, shards=shards if n >= 64 else 1)
+        _scale_row(n, loss, parts)
         for n in n_grid
         for loss in (0.0, 0.1)
         for parts in (1, 2)
     ]
-
-    # The headline: a big run completes under the sharded loop and its
-    # RunMetrics are bit-identical to the serial loop on the same seed.
-    # A wide election-timeout spread keeps 1000 replicas from sounding
-    # out candidacies in lockstep; the first timer to fire wins.
-    big_kwargs = dict(
-        proposals={0: ["a", "b"], 1: ["z"]},
-        failures=FailurePlan(loss_probability=0.05, seed=11),
-        seed=3, max_time=5000, on_limit="truncate",
-        election_timeout=(8.0, 64.0),
-    )
-    t0 = time.perf_counter()
-    serial = run_replicated_log(big_n, **big_kwargs)
-    serial_wall = time.perf_counter() - t0
-    big_kwargs["failures"] = FailurePlan(loss_probability=0.05, seed=11)
-    t0 = time.perf_counter()
-    sharded = run_replicated_log(big_n, shards=shards, **big_kwargs)
-    sharded_wall = time.perf_counter() - t0
-    bit_identical = serial.as_comparable() == sharded.as_comparable()
-    big = {
-        "processes": big_n,
-        "shards": shards,
-        "decided": len(sharded.decisions),
-        "messages": sharded.messages_sent,
-        "bit_identical": bit_identical,
-        "serial_wall_s": round(serial_wall, 3),
-        "sharded_wall_s": round(sharded_wall, 3),
-        "ok": bit_identical and len(sharded.decisions) == big_n
-        and not sharded.truncated,
-    }
-
     return {
         "acceptance": acceptance,
         "curve": rows,
-        "big_run": big,
-        "ok": acceptance["ok"] and all(r["ok"] for r in rows)
-        and big["ok"],
+        "ok": acceptance["ok"] and all(r["ok"] for r in rows),
     }
 
 
@@ -278,21 +236,15 @@ def _render_scale(m: dict) -> str:
         f"ok={m['acceptance']['ok']} "
         f"commits={m['acceptance']['log_commits']} "
         f"replays={m['acceptance']['recovery_replays']}",
-        f"{'n':>6s} {'loss':>5s} {'parts':>5s} {'shards':>6s} "
+        f"{'n':>6s} {'loss':>5s} {'parts':>5s} "
         f"{'msgs':>8s} {'elect':>5s} {'wall s':>7s} {'ok':>3s}",
     ]
     for r in m["curve"]:
         lines.append(
             f"{r['processes']:>6d} {r['loss']:>5.2f} "
-            f"{r['partitions']:>5d} {r['shards']:>6d} "
+            f"{r['partitions']:>5d} "
             f"{r['messages']:>8d} {r['elections_started']:>5d} "
             f"{r['wall_s']:>7.2f} {str(r['ok']):>3s}")
-    b = m["big_run"]
-    lines.append(
-        f"big run n={b['processes']}: decided={b['decided']} "
-        f"msgs={b['messages']} serial={b['serial_wall_s']}s "
-        f"sharded({b['shards']})={b['sharded_wall_s']}s "
-        f"bit-identical={b['bit_identical']}")
     return "\n".join(lines)
 
 
@@ -313,10 +265,8 @@ def test_replicated_log_acceptance_scenario(record):
 
 
 def test_scale_curve_small(record):
-    # The 1000-process bit-identity run lives in standalone --scale
-    # mode (CI bench-smoke); under pytest only the small curve runs.
     rows = [
-        _scale_row(n, loss, parts, shards=4 if n >= 64 else 1)
+        _scale_row(n, loss, parts)
         for n in (16, 64)
         for loss in (0.0, 0.1)
         for parts in (1, 2)
@@ -352,9 +302,8 @@ def main(argv=None) -> int:
                         help="fewer seeds / smaller curve (CI smoke mode)")
     parser.add_argument("--scale", action="store_true",
                         help="replicated-log scaling mode: processes x "
-                             "loss x partition curve, acceptance scenario "
-                             "at loss 0.3, and 1000-process sharded-vs-"
-                             "serial bit-identity")
+                             "loss x partition curve and acceptance "
+                             "scenario at loss 0.3")
     parser.add_argument("--json", type=pathlib.Path, default=None,
                         help=f"summary JSON output path (default {OUT_JSON}"
                              f", or {SCALE_JSON} with --scale)")
@@ -364,8 +313,8 @@ def main(argv=None) -> int:
         m = _measure_scale(quick=args.quick)
         print(_render_scale(m))
         out = args.json if args.json is not None else SCALE_JSON
-        fail_msg = ("FAIL: a replicated-log run lost a commit, missed a "
-                    "decision, or the sharded loop diverged from serial")
+        fail_msg = ("FAIL: a replicated-log run lost a commit or missed a "
+                    "decision")
     else:
         m = _measure(seeds=range(2 if args.quick else 10))
         print(_render(m))

@@ -8,10 +8,9 @@ Public surface::
     report = session.lint_paths(["src"])      # warm files from cache
     result = session.optimize_file("mod.py")  # same config, same cache
 
-The deprecated free functions (``repro.lint.lint_source`` & friends,
-``repro.optimize.optimize_source`` & friends) delegate here; new code
-should construct a session directly.  ``python -m repro.analysis``
-exposes the same surface as a CLI and a line-delimited-JSON daemon.
+The session is the one programmatic entry point for linting and
+optimizing; ``python -m repro.analysis`` exposes the same surface as a
+CLI and a line-delimited-JSON daemon.
 """
 
 from .cache import (

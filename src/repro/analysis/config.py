@@ -5,8 +5,8 @@ Before this package existed, every entry point grew its own knobs:
 optimizer pipeline, and per-CLI argparse flags that drifted apart.  The
 :class:`AnalysisConfig` dataclass is the single source of truth both
 CLIs, the :class:`~repro.analysis.session.AnalysisSession` façade, and
-the daemon consume; the legacy shapes are derived views
-(:meth:`to_lint_config` / :meth:`from_lint_config`).
+the daemon consume; the lint driver's ``LintConfig`` is a derived view
+(:meth:`to_lint_config`).
 
 The config also owns the **fingerprint** that keys the on-disk cache.
 Only fields that can change an analysis *result* participate:
@@ -69,21 +69,6 @@ class AnalysisConfig:
             exclude=self.exclude,
             timeout_s=self.timeout_s,
             engine=self.engine,
-        )
-
-    @classmethod
-    def from_lint_config(
-        cls, config: Optional[LintConfig] = None, **overrides,
-    ) -> "AnalysisConfig":
-        config = config or LintConfig()
-        return cls(
-            fail_on=config.fail_on,
-            concept_pass=config.concept_pass,
-            interprocedural=config.interprocedural,
-            exclude=tuple(config.exclude),
-            timeout_s=config.timeout_s,
-            engine=config.engine,
-            **overrides,
         )
 
     def with_(self, **overrides) -> "AnalysisConfig":

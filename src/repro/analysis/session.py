@@ -1,10 +1,10 @@
 """The :class:`AnalysisSession` façade — analysis as a service.
 
-One object unifies what used to be four loose entry points
-(``lint_source``/``lint_file``/``lint_paths`` from the lint driver and
-``optimize_source``/``optimize_file`` from the optimizer pipeline)
-behind one :class:`~repro.analysis.config.AnalysisConfig`, and adds the
-two things a *service* needs that a batch CLI does not:
+One object is the programmatic entry point for linting
+(``lint_source``/``lint_file``/``lint_paths``) and optimizing
+(``optimize_source``/``optimize_file``/``optimize_paths``), configured
+by one :class:`~repro.analysis.config.AnalysisConfig`.  It adds the two
+things a *service* needs that a batch CLI does not:
 
 - **incrementality** — per-file results are served from the
   content-hash-keyed on-disk cache (:mod:`repro.analysis.cache`) when

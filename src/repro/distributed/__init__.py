@@ -40,7 +40,6 @@ from .algorithms.replog import (
     record_run,
     run_replicated_log,
 )
-from .sharded import ShardedSimulator
 from .simulator import SimulationError, Simulator, run_algorithm
 from .taxonomy import (
     DIMENSIONS,
@@ -60,7 +59,7 @@ __all__ = [
     "RunMetrics",
     "Topology", "Ring", "Complete", "Star", "Line", "Tree", "Grid",
     "Arbitrary", "random_connected",
-    "Simulator", "ShardedSimulator", "SimulationError", "run_algorithm",
+    "Simulator", "SimulationError", "run_algorithm",
     "ReliableChannel", "ReliableProcess", "ResilientFloodSet",
     "wrap_reliable", "run_echo_reliable", "run_floodset_reliable",
     "ReplicatedLog", "ReplicatedLogRecord", "record_run",

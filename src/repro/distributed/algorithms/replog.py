@@ -435,7 +435,6 @@ def run_replicated_log(
     seed: int = 0,
     heartbeat_interval: Optional[float] = None,
     reliable: bool = True,
-    shards: Optional[int] = None,
     max_time: float = 1e6,
     on_limit: str = "raise",
     **params: Any,
@@ -448,9 +447,6 @@ def run_replicated_log(
     :class:`~repro.distributed.reliable.ReliableChannel`;
     ``heartbeat_interval`` additionally switches on the transport's
     failure detector, which feeds leader suspicion into elections.
-    ``shards`` > 1 runs under the sharded event loop
-    (:class:`~repro.distributed.sharded.ShardedSimulator`), bit-identical
-    to the serial loop on the same seed.
     """
     from ..reliable import wrap_reliable
 
@@ -467,15 +463,8 @@ def run_replicated_log(
     if reliable:
         procs = wrap_reliable(procs, heartbeat_interval=heartbeat_interval)
     timing = timing if timing is not None else Synchronous()
-    if shards is not None and shards > 1:
-        from ..sharded import ShardedSimulator
-
-        sim: Simulator = ShardedSimulator(
-            Complete(n), procs, timing, failures, shards=shards,
-            max_time=max_time, on_limit=on_limit)
-    else:
-        sim = Simulator(Complete(n), procs, timing, failures,
-                        max_time=max_time, on_limit=on_limit)
+    sim = Simulator(Complete(n), procs, timing, failures,
+                    max_time=max_time, on_limit=on_limit)
     metrics = sim.run()
     metrics.expected_commands = tuple(  # type: ignore[attr-defined]
         ("cmd", r, i, v)

@@ -114,9 +114,10 @@ class RunMetrics:
         return out
 
     def as_comparable(self) -> dict:
-        """Every field as plain data — the bit-identity oracle the sharded
-        event loop is held to (``sharded.as_comparable() ==
-        serial.as_comparable()`` on the same seed)."""
+        """Every field as plain data — the run-level determinism oracle:
+        two runs of one seeded schedule must compare equal
+        (``a.as_comparable() == b.as_comparable()``), including runs
+        truncated at the same ``max_time``."""
         return {
             "n": self.n,
             "messages_sent": self.messages_sent,

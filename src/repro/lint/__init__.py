@@ -17,9 +17,6 @@ Or from Python, via the unified analysis session::
     print(report.render_text())
     bad = report.fails("warning")
 
-(The free functions ``lint_source``/``lint_file``/``lint_paths`` still
-work but are deprecated shims over the session.)
-
 Per-line suppression uses ``# stllint: ignore[<check>]`` comments; the
 available check codes are listed by ``python -m repro.lint --list-checks``.
 """
@@ -32,9 +29,6 @@ from .driver import (
     LintFinding,
     ProjectReport,
     discover_files,
-    lint_file,
-    lint_paths,
-    lint_source,
 )
 from .suppressions import (
     ALL_CHECKS,
@@ -48,7 +42,7 @@ from .cli import main
 
 __all__ = [
     "LintConfig", "LintFinding", "FileReport", "ProjectReport",
-    "lint_source", "lint_file", "lint_paths", "discover_files",
+    "discover_files",
     "SEVERITY_ORDER",
     "run_concept_pass", "ConceptFinding",
     "check_code", "all_check_codes", "collect_suppressions", "ALL_CHECKS",

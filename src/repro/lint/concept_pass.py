@@ -1,11 +1,11 @@
 """The concept-conformance lint pass.
 
 Finds call sites of ``@where``-decorated generic algorithms (declared in
-the linted module with :func:`repro.concepts.where` / ``where_multi``)
-and statically verifies that the argument types model the required
-concepts via the :class:`~repro.concepts.modeling.ModelRegistry` — the
-"modular checking of call sites against declared constraints" story of
-Section 2, run *without executing the checked code*.
+the linted module with :func:`repro.concepts.where`) and statically
+verifies that the argument types model the required concepts via the
+:class:`~repro.concepts.modeling.ModelRegistry` — the "modular checking
+of call sites against declared constraints" story of Section 2, run
+*without executing the checked code*.
 
 The pass is deliberately conservative:
 
@@ -104,25 +104,20 @@ class _ImportMap:
             return None
 
 
-def _where_functions() -> tuple[Any, Any]:
-    from repro.concepts.where import where, where_multi
-
-    return where, where_multi
-
-
 def _parse_where_decorator(
     dec: ast.expr, imports: _ImportMap
 ) -> Optional[list[tuple[Any, tuple[str, ...]]]]:
     """Recover (concept, params) constraints from a decorator expression,
-    or None if it is not a resolvable @where/@where_multi application."""
+    or None if it is not a resolvable @where application."""
     if not isinstance(dec, ast.Call):
         return None
     target = imports.resolve(dec.func)
     if target is None:
         return None
-    where, where_multi = _where_functions()
+    from repro.concepts.where import where
+
     constraints: list[tuple[Any, tuple[str, ...]]] = []
-    if target is where or target is where_multi:
+    if target is where:
         if any(kw.arg == "registry" for kw in dec.keywords):
             return None   # custom registry: our default-registry check lies
         for arg in dec.args:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -482,56 +481,3 @@ def _lint_paths_impl(
     for f in discover_files(paths, config.exclude):
         report.files.append(_lint_file_impl(f, config))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public surface (one-release migration window)
-# ---------------------------------------------------------------------------
-# The functions below were the public API before the analysis service
-# unified linting and optimization behind one façade.  They now delegate
-# to an (uncached, serial) ``AnalysisSession`` so old callers keep the
-# exact historical behaviour, and they warn so new code migrates.
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.lint.{name}() is deprecated; construct a "
-        "repro.analysis.AnalysisSession and call its equivalent method "
-        "(this shim is kept for one release)",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: Optional[LintConfig] = None,
-) -> FileReport:
-    """Deprecated: use :meth:`repro.analysis.AnalysisSession.lint_source`."""
-    _deprecated("lint_source")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_source(source, path=path)
-
-
-def lint_file(
-    path: PathLike, config: Optional[LintConfig] = None
-) -> FileReport:
-    """Deprecated: use :meth:`repro.analysis.AnalysisSession.lint_file`."""
-    _deprecated("lint_file")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_file(path)
-
-
-def lint_paths(
-    paths: Sequence[PathLike], config: Optional[LintConfig] = None
-) -> ProjectReport:
-    """Deprecated: use :meth:`repro.analysis.AnalysisSession.lint_paths`."""
-    _deprecated("lint_paths")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_paths(paths)

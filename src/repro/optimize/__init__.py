@@ -11,8 +11,7 @@ output to verify no precondition was broken and nothing further remains
 (idempotence).
 
 Use :meth:`repro.analysis.AnalysisSession.optimize_source` /
-``optimize_file`` programmatically (the free functions here are
-deprecated shims over the session), or ``python -m repro.optimize
+``optimize_file`` programmatically, or ``python -m repro.optimize
 <paths>`` (``--check`` for CI, ``--write`` to apply, ``--diff`` to
 inspect).
 """
@@ -23,13 +22,11 @@ from .pipeline import (
     OptimizeResult,
     PlannedRewrite,
     apply_rewrites,
-    optimize_file,
-    optimize_source,
     plan_rewrites,
 )
 
 __all__ = [
     "DEFAULT_RESOURCE", "DEFAULT_SIZE",
     "OptimizeResult", "PlannedRewrite",
-    "apply_rewrites", "optimize_file", "optimize_source", "plan_rewrites",
+    "apply_rewrites", "plan_rewrites",
 ]

@@ -28,7 +28,6 @@ import ast
 import difflib
 import json
 import pathlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -523,70 +522,3 @@ def _optimize_file_impl(
         return result
     except Exception as exc:  # noqa: BLE001 - per-file crash isolation
         return _internal_result(str(p), source, exc)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public surface (one-release migration window)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.optimize.{name}() is deprecated; construct a "
-        "repro.analysis.AnalysisSession and call its equivalent method "
-        "(this shim is kept for one release)",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def optimize_source(
-    source: str,
-    path: str = "<string>",
-    taxonomy: Optional[Taxonomy] = None,
-    resource: str = DEFAULT_RESOURCE,
-    size: float = DEFAULT_SIZE,
-    deadline: Optional[Deadline] = None,
-    engine: Optional[str] = None,
-) -> OptimizeResult:
-    """Deprecated: use
-    :meth:`repro.analysis.AnalysisSession.optimize_source`."""
-    _deprecated("optimize_source")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    if taxonomy is not None or deadline is not None:
-        # Injected taxonomies/deadlines have no config-level equivalent;
-        # serve these calls directly (still deprecated).
-        return _optimize_source_impl(
-            source, path=path, taxonomy=taxonomy, resource=resource,
-            size=size, deadline=deadline, engine=engine,
-        )
-    session = AnalysisSession(AnalysisConfig(
-        engine=engine or DEFAULT_ENGINE, resource=resource, size=size,
-    ))
-    return session.optimize_source(source, path=path)
-
-
-def optimize_file(
-    path: PathLike,
-    write: bool = False,
-    taxonomy: Optional[Taxonomy] = None,
-    resource: str = DEFAULT_RESOURCE,
-    size: float = DEFAULT_SIZE,
-    timeout_s: Optional[float] = None,
-    engine: Optional[str] = None,
-) -> OptimizeResult:
-    """Deprecated: use
-    :meth:`repro.analysis.AnalysisSession.optimize_file`."""
-    _deprecated("optimize_file")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    if taxonomy is not None:
-        return _optimize_file_impl(
-            path, write=write, taxonomy=taxonomy, resource=resource,
-            size=size, timeout_s=timeout_s, engine=engine,
-        )
-    session = AnalysisSession(AnalysisConfig(
-        engine=engine or DEFAULT_ENGINE, resource=resource, size=size,
-        timeout_s=timeout_s,
-    ))
-    return session.optimize_file(path, write=write)

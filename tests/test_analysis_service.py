@@ -1,7 +1,6 @@
 """The analysis service: session façade, content-hash cache and its
 invalidation rules, schema round-trips, the worker pool's determinism,
-the deprecation shims, the LDJSON daemon protocol, and the shared CLI
-contract."""
+the LDJSON daemon protocol, and the shared CLI contract."""
 
 import io
 import json
@@ -364,43 +363,24 @@ class TestParallel:
         assert len(report.files) == 4
 
 
-class TestDeprecationShims:
-    def test_lint_shims_warn_and_delegate(self, tmp_path):
-        from repro.lint import lint_file, lint_paths, lint_source
-
-        target = tmp_path / "m.py"
-        target.write_text(BUGGY)
-        with pytest.warns(DeprecationWarning):
-            by_source = lint_source(BUGGY, path=str(target))
-        with pytest.warns(DeprecationWarning):
-            by_file = lint_file(target)
-        with pytest.warns(DeprecationWarning):
-            by_paths = lint_paths([target])
-        assert by_source.findings and by_file.findings
-        assert [f.check for f in by_file.findings] == \
-            [f.check for f in by_paths.findings]
-
-    def test_optimize_shims_warn_and_delegate(self, tmp_path):
-        from repro.optimize import optimize_file, optimize_source
-
-        target = tmp_path / "m.py"
-        target.write_text(OPTIMIZABLE)
-        with pytest.warns(DeprecationWarning):
-            by_source = optimize_source(OPTIMIZABLE, path=str(target))
-        with pytest.warns(DeprecationWarning):
-            by_file = optimize_file(target)
-        assert by_source.plans and by_file.plans
-
+class TestSessionAPI:
     def test_session_api_does_not_warn(self, tmp_path):
         target = tmp_path / "m.py"
         target.write_text(BUGGY)
+        opt_target = tmp_path / "o.py"
+        opt_target.write_text(OPTIMIZABLE)
         session = AnalysisSession()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            session.lint_source(BUGGY)
-            session.lint_file(target)
-            session.lint_paths([target])
-            session.optimize_source(OPTIMIZABLE)
+            by_source = session.lint_source(BUGGY, path=str(target))
+            by_file = session.lint_file(target)
+            by_paths = session.lint_paths([target])
+            opt_by_source = session.optimize_source(OPTIMIZABLE)
+            opt_by_file = session.optimize_file(opt_target)
+        assert by_source.findings and by_file.findings
+        assert [f.check for f in by_file.findings] == \
+            [f.check for f in by_paths.findings]
+        assert opt_by_source.plans and opt_by_file.plans
 
 
 class TestServiceProtocol:
@@ -562,11 +542,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             base.fingerprint("nope")
 
-    def test_round_trip_with_lint_config(self):
+    def test_to_lint_config(self):
         cfg = AnalysisConfig(engine="inline", fail_on="error",
                              exclude=("x",))
         lc = cfg.to_lint_config()
-        back = AnalysisConfig.from_lint_config(lc)
-        assert back.engine == "inline"
-        assert back.fail_on == "error"
-        assert back.exclude == ("x",)
+        assert lc.engine == "inline"
+        assert lc.fail_on == "error"
+        assert tuple(lc.exclude) == ("x",)

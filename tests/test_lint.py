@@ -8,16 +8,14 @@ import textwrap
 
 import pytest
 
+from repro.analysis import AnalysisConfig, AnalysisSession
 from repro.lint import (
     ALL_CHECKS,
     UNKNOWN_SUPPRESSION_CODE,
     UNUSED_SUPPRESSION,
-    LintConfig,
     all_check_codes,
     check_code,
     collect_suppressions,
-    lint_paths,
-    lint_source,
     main,
     run_concept_pass,
 )
@@ -263,8 +261,10 @@ def f(v: "vector"):
     shrink(v)
     return it.deref()
 '''
-        flagged = lint_source(src, config=LintConfig(interprocedural=True))
-        plain = lint_source(src, config=LintConfig(interprocedural=False))
+        flagged = AnalysisSession(
+            AnalysisConfig(interprocedural=True)).lint_source(src)
+        plain = AnalysisSession(
+            AnalysisConfig(interprocedural=False)).lint_source(src)
         assert any(f.check == "singular-deref" for f in flagged.findings)
         assert not any(f.check == "singular-deref" for f in plain.findings)
 
@@ -289,7 +289,7 @@ class TestSuppressions:
         assert 1 not in supp
 
     def test_suppressed_findings_are_counted_not_shown(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     e = v.end()
     return e.deref()  # stllint: ignore[past-end-deref]
@@ -298,7 +298,7 @@ def f(v: "vector"):
         assert report.suppressed == 1
 
     def test_wrong_code_does_not_suppress(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     e = v.end()
     return e.deref()  # stllint: ignore[cross-container]
@@ -306,7 +306,7 @@ def f(v: "vector"):
         assert any(f.check == "past-end-deref" for f in report.findings)
 
     def test_bare_ignore_suppresses_everything(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     e = v.end()
     return e.deref()  # stllint: ignore
@@ -326,7 +326,7 @@ class TestSuppressionHygiene:
     """A suppression that can never work is itself a finding."""
 
     def test_unknown_code_warns(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     e = v.end()
     return e.deref()  # stllint: ignore[past-end-derf]
@@ -345,7 +345,7 @@ def f(v: "vector"):
         # One code suppresses the finding, the other is a typo: the
         # suppression counts as used (no unused warning) but the typo is
         # still reported.
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     e = v.end()
     return e.deref()  # stllint: ignore[past-end-deref, past-end-derf]
@@ -357,7 +357,7 @@ def f(v: "vector"):
         assert UNUSED_SUPPRESSION not in checks
 
     def test_suppression_matching_no_finding_warns(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     it = v.begin()
     return it.deref()  # stllint: ignore[singular-deref]
@@ -372,7 +372,7 @@ def f(v: "vector"):
         assert dead.line == 4
 
     def test_used_suppression_does_not_warn(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     e = v.end()
     return e.deref()  # stllint: ignore[past-end-deref]
@@ -381,7 +381,7 @@ def f(v: "vector"):
         assert not report.findings
 
     def test_bare_unused_ignore_warns(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def f(v: "vector"):
     x = 1  # stllint: ignore
     return x
@@ -391,7 +391,7 @@ def f(v: "vector"):
     def test_docstring_placeholder_not_flagged(self):
         # Documentation quoting the comment syntax as ``ignore[...]``
         # must not trip the unknown-code check.
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 """Use ``# stllint: ignore[...]`` to silence a check."""
 
 def f(v: "vector"):
@@ -428,7 +428,7 @@ def unknown(g):
 
 class TestConceptPass:
     def test_violation_reported_as_error(self):
-        report = lint_source(CONCEPT_SRC)
+        report = AnalysisSession().lint_source(CONCEPT_SRC)
         errors = [f for f in report.findings if f.severity == "error"]
         assert len(errors) == 1
         assert errors[0].check == "concept-conformance"
@@ -443,9 +443,9 @@ class TestConceptPass:
         assert all(f.function != "unknown" for f in findings)
 
     def test_disabled_by_config(self):
-        report = lint_source(
-            CONCEPT_SRC, config=LintConfig(concept_pass=False)
-        )
+        report = AnalysisSession(
+            AnalysisConfig(concept_pass=False)
+        ).lint_source(CONCEPT_SRC)
         assert not report.findings
 
 
@@ -478,7 +478,7 @@ class TestDriver:
         (tmp_path / "__pycache__").mkdir()
         (tmp_path / "__pycache__" / "junk.py").write_text(BUGGY)
 
-        report = lint_paths([tmp_path])
+        report = AnalysisSession().lint_paths([tmp_path])
         assert len(report.files) == 3          # __pycache__ skipped
         assert report.summary()["warnings"] >= 1
         assert report.fails("warning")
@@ -487,14 +487,14 @@ class TestDriver:
 
     def test_exclude_patterns(self, tmp_path):
         (tmp_path / "buggy.py").write_text(BUGGY)
-        report = lint_paths(
-            [tmp_path], LintConfig(exclude=("*buggy*",))
-        )
+        report = AnalysisSession(
+            AnalysisConfig(exclude=("*buggy*",))
+        ).lint_paths([tmp_path])
         assert not report.files
 
     def test_json_round_trips(self, tmp_path):
         (tmp_path / "buggy.py").write_text(BUGGY)
-        report = lint_paths([tmp_path])
+        report = AnalysisSession().lint_paths([tmp_path])
         data = json.loads(report.to_json())
         assert data["version"] == 1
         assert data["summary"]["files"] == 1
@@ -504,24 +504,24 @@ class TestDriver:
 
     def test_missing_path_is_a_finding(self, tmp_path):
         # A typo'd path must not produce a silently empty, passing run.
-        report = lint_paths([tmp_path / "no_such_dir"])
+        report = AnalysisSession().lint_paths([tmp_path / "no_such_dir"])
         assert [f.check for f in report.findings] == ["io-error"]
         assert report.fails("error")
 
     def test_syntax_error_is_a_finding(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
-        report = lint_paths([tmp_path])
+        report = AnalysisSession().lint_paths([tmp_path])
         assert [f.check for f in report.findings] == ["parse-error"]
         assert report.fails("error")
 
     def test_render_text_has_summary_line(self, tmp_path):
         (tmp_path / "buggy.py").write_text(BUGGY)
-        text = lint_paths([tmp_path]).render_text()
+        text = AnalysisSession().lint_paths([tmp_path]).render_text()
         assert "warning(s)" in text
         assert "function(s) checked" in text
 
     def test_functions_without_containers_are_skipped(self):
-        report = lint_source('''
+        report = AnalysisSession().lint_source('''
 def pure(x, y):
     return x + y
 ''')
@@ -584,7 +584,7 @@ class TestCrashIsolation:
             return checker
 
         monkeypatch.setattr(lint_driver, "make_checker", exploding_make)
-        report = lint_paths([tmp_path])
+        report = AnalysisSession().lint_paths([tmp_path])
         internal = [f for f in report.findings if f.check == "LINT-INTERNAL"]
         assert len(internal) == 1
         assert "injected interpreter bug" in internal[0].message
@@ -620,7 +620,7 @@ class TestCrashIsolation:
     def test_undecodable_file_skipped_run_continues(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_bytes(b"\xff\xfe not utf-8")
         (tmp_path / "good.py").write_text(BUGGY)
-        report = lint_paths([tmp_path])
+        report = AnalysisSession().lint_paths([tmp_path])
         internal = [f for f in report.findings if f.check == "LINT-INTERNAL"]
         assert len(internal) == 1
         assert "decode" in internal[0].message
@@ -631,7 +631,8 @@ class TestCrashIsolation:
 
     def test_timeout_becomes_finding(self, tmp_path):
         (tmp_path / "slow.py").write_text(BUGGY)
-        report = lint_paths([tmp_path], LintConfig(timeout_s=0.0))
+        report = AnalysisSession(
+            AnalysisConfig(timeout_s=0.0)).lint_paths([tmp_path])
         assert [f.check for f in report.findings] == ["LINT-TIMEOUT"]
         assert report.partial
 
@@ -653,7 +654,7 @@ class TestCrashIsolation:
             return checker
 
         monkeypatch.setattr(lint_driver, "make_checker", exploding_make)
-        report = lint_paths([tmp_path])
+        report = AnalysisSession().lint_paths([tmp_path])
         assert any(f.check == "LINT-INTERNAL" for f in report.findings)
 
     def test_internal_codes_listed(self):

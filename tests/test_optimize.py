@@ -6,14 +6,9 @@ import json
 import pytest
 
 from repro import trace
+from repro.analysis import AnalysisSession
 from repro.facts import collect_facts
-from repro.optimize import (
-    OptimizeResult,
-    apply_rewrites,
-    optimize_file,
-    optimize_source,
-    plan_rewrites,
-)
+from repro.optimize import OptimizeResult, apply_rewrites, plan_rewrites
 from repro.optimize.cli import main
 
 SORT_THEN_FIND = '''
@@ -65,7 +60,7 @@ class TestPlanning:
 
 class TestRewriting:
     def test_rewrite_preserves_formatting(self):
-        result = optimize_source(SORT_THEN_FIND)
+        result = AnalysisSession().optimize_source(SORT_THEN_FIND)
         assert result.changed
         assert result.verified and not result.reverted
         assert "lower_bound(v.begin(), v.end(), key)" in result.optimized
@@ -86,45 +81,44 @@ class TestRewriting:
         assert apply_rewrites(src, plans) == src
 
     def test_idempotent(self):
-        once = optimize_source(SORT_THEN_FIND)
-        twice = optimize_source(once.optimized)
+        once = AnalysisSession().optimize_source(SORT_THEN_FIND)
+        twice = AnalysisSession().optimize_source(once.optimized)
         assert not twice.changed
         assert twice.plans == []
 
     def test_rewritten_source_relints_clean(self):
-        from repro.lint import lint_source
-
-        result = optimize_source(SORT_THEN_FIND)
-        report = lint_source(result.optimized)
+        result = AnalysisSession().optimize_source(SORT_THEN_FIND)
+        report = AnalysisSession().lint_source(result.optimized)
         # The sorted-linear-find suggestion is gone and lower_bound's
         # sortedness precondition is satisfied: nothing at all to report.
         assert not report.findings
 
     def test_refused_file_is_unchanged(self):
-        result = optimize_source(MUTATION_BETWEEN)
+        result = AnalysisSession().optimize_source(MUTATION_BETWEEN)
         assert not result.changed
         assert result.optimized == MUTATION_BETWEEN
         assert result.plans == []
 
     def test_findings_carry_opt_codes(self):
-        result = optimize_source(SORT_THEN_FIND)
+        result = AnalysisSession().optimize_source(SORT_THEN_FIND)
         assert [f.check for f in result.findings] == [
             "OPT-find-to-lower-bound"
         ]
         assert result.findings[0].severity == "suggestion"
 
     def test_syntax_error_is_a_finding(self):
-        result = optimize_source("def f(:\n")
+        result = AnalysisSession().optimize_source("def f(:\n")
         assert not result.verified
         assert [f.check for f in result.findings] == ["parse-error"]
 
     def test_result_serializes(self):
-        data = json.loads(optimize_source(SORT_THEN_FIND).to_json())
+        result = AnalysisSession().optimize_source(SORT_THEN_FIND)
+        data = json.loads(result.to_json())
         assert data["changed"] is True
         assert data["rewrites"][0]["replacement"] == "lower_bound"
 
     def test_diff_shows_the_rewrite(self):
-        d = optimize_source(SORT_THEN_FIND).diff()
+        d = AnalysisSession().optimize_source(SORT_THEN_FIND).diff()
         assert "-    it = find(" in d
         assert "+    it = lower_bound(" in d
 
@@ -133,18 +127,18 @@ class TestOptimizeFile:
     def test_dry_run_leaves_file_alone(self, tmp_path):
         f = tmp_path / "prog.py"
         f.write_text(SORT_THEN_FIND)
-        result = optimize_file(f)
+        result = AnalysisSession().optimize_file(f)
         assert result.changed
         assert f.read_text() == SORT_THEN_FIND
 
     def test_write_applies_verified_rewrites(self, tmp_path):
         f = tmp_path / "prog.py"
         f.write_text(SORT_THEN_FIND)
-        result = optimize_file(f, write=True)
+        result = AnalysisSession().optimize_file(f, write=True)
         assert result.verified
         assert "lower_bound" in f.read_text()
         # Optimizing again finds nothing: the write converged.
-        assert not optimize_file(f).changed
+        assert not AnalysisSession().optimize_file(f).changed
 
 
 class TestCli:
@@ -188,7 +182,7 @@ class TestTracing:
     def test_pipeline_emits_stage_spans(self):
         tracer = trace.enable(trace.Tracer())
         try:
-            optimize_source(SORT_THEN_FIND)
+            AnalysisSession().optimize_source(SORT_THEN_FIND)
         finally:
             trace.disable()
         spans = {r["name"] for r in tracer.records if r["type"] == "span"}
@@ -233,7 +227,7 @@ class TestCrashIsolation:
 
         monkeypatch.setattr(pipeline, "collect_facts",
                             exploding_verify_collect)
-        result = optimize_file(target, write=True)
+        result = AnalysisSession().optimize_file(target, write=True)
         assert result.reverted
         assert "verification crashed" in result.revert_reason
         assert result.optimized == SORT_THEN_FIND
@@ -250,7 +244,7 @@ class TestCrashIsolation:
             raise RuntimeError("boom in facts")
 
         monkeypatch.setattr(pipeline, "collect_facts", always_explode)
-        result = optimize_file(target)
+        result = AnalysisSession().optimize_file(target)
         assert [f.check for f in result.findings] == ["OPT-INTERNAL"]
         assert result.reverted and not result.verified
         assert target.read_text() == SORT_THEN_FIND

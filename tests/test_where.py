@@ -11,7 +11,6 @@ from repro.concepts import (
     declaration_of,
     method,
     where,
-    where_multi,
 )
 from repro.concepts.algebra import VectorSpace
 from repro.graphs import AdjacencyList, EdgeListGraphImpl, IncidenceGraph
@@ -167,18 +166,6 @@ class TestUnifiedWhere:
         assert speak(Duck()) == "quack"
 
 
-class TestWhereMultiAlias:
-    def test_deprecated_alias_still_works(self):
-        with pytest.warns(DeprecationWarning, match="where_multi"):
-            @where_multi((VectorSpace, ("v", "s")))
-            def scale(v, s):
-                return v * s
-
-        assert scale(CVector([1j]), 2.0) == CVector([2j])
-        with pytest.raises(ConceptCheckError):
-            scale("vector?", 2.0)
-
-
 class TestIntrospection:
     def test_constraints_of(self):
         @where(d=Quackable)
@@ -197,27 +184,3 @@ class TestIntrospection:
         decl = declaration_of(axpy)
         assert "axpy(v, s, w)" in decl
         assert "where v, s : Vector Space" in decl
-
-
-class TestWhereMultiDeprecationStacklevel:
-    def test_warning_points_at_caller_not_decorator_internals(self):
-        """PR 3 regression: the DeprecationWarning must carry the
-        decorator application site (this file), not where.py."""
-        with pytest.warns(DeprecationWarning, match="where_multi") as rec:
-            @where_multi((VectorSpace, ("v", "s")))
-            def scale(v, s):
-                return v * s
-
-        (warning,) = [w for w in rec if w.category is DeprecationWarning]
-        assert warning.filename == __file__
-
-    def test_warning_points_at_caller_through_reexport(self):
-        import repro.concepts as concepts
-
-        with pytest.warns(DeprecationWarning, match="where_multi") as rec:
-            @concepts.where_multi((VectorSpace, ("v", "s")))
-            def scale(v, s):
-                return v * s
-
-        (warning,) = [w for w in rec if w.category is DeprecationWarning]
-        assert warning.filename == __file__
